@@ -15,8 +15,8 @@ table:
 Simulated results are deterministic, so the ``results`` section of each
 document is byte-identical run to run regardless of worker count or
 scheduling; everything wall-clock (host seconds, worker count, hostname)
-is confined to the ``meta`` section. The determinism test in
-``tests/benchmarks/test_runner_determinism.py`` relies on this split.
+is confined to the ``meta`` section. The determinism tests in
+``tests/integration/test_bench_runner.py`` rely on this split.
 
 CLI::
 

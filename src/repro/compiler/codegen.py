@@ -54,124 +54,6 @@ class NativeFunction:
         return self.base + len(self.insns)
 
 
-# ======================================================================
-# Predecode stage (interpreter fast tier)
-# ======================================================================
-#
-# At image-load time each function can be *predecoded*: register names are
-# resolved to dense slot indices (so frames are flat lists instead of
-# dicts), operands become ``('r', slot, name)`` / ``('v', value)`` specs,
-# the opcode string is classified once into a small integer kind, and
-# memory-access widths are parsed out of the opcode. The result is pure
-# data -- the interpreter binds it to closures over its own memory port
-# and clock. Instrumentation pseudo-ops (``vgmask``, ``cfi_label``,
-# ``cfi_ret``, ``cfi_icall``) predecode like any other instruction, so a
-# native-baseline module carries zero instrumentation entries and an
-# instrumented module carries exactly the ones its passes inserted.
-#
-# Predecoding is a host-side cache of the *verified, signed* instruction
-# stream: it never alters simulated semantics or cycle charges, and it is
-# (re)built per ``NativeFunction`` object, so images patched after
-# translation (which signature verification refuses to run anyway) cannot
-# resurrect a stale translation through this cache.
-
-#: Predecoded instruction kinds (dense tags the executor switches on).
-PK_SIMPLE = 0
-PK_BR = 1
-PK_CONDBR = 2
-PK_RET = 3
-PK_CALL = 4
-PK_CALLIND = 5
-PK_UNREACHABLE = 6
-
-_CONTROL_OPCODES = {
-    "br": PK_BR, "condbr": PK_CONDBR, "ret": PK_RET, "cfi_ret": PK_RET,
-    "call": PK_CALL, "callind": PK_CALLIND, "cfi_icall": PK_CALLIND,
-    "unreachable": PK_UNREACHABLE,
-}
-
-
-class PredecodedInsn:
-    """One instruction, resolved for the fast tier (pure data)."""
-
-    __slots__ = ("kind", "opcode", "dst", "ops", "predicate", "targets",
-                 "callee", "width", "is_cfi")
-
-    def __init__(self, kind: int, opcode: str, dst: int | None,
-                 ops: tuple, predicate: str | None, targets: list[int],
-                 callee: str | None, width: int, is_cfi: bool):
-        self.kind = kind
-        self.opcode = opcode
-        self.dst = dst                  # result slot index or None
-        self.ops = ops                  # tuple of operand specs
-        self.predicate = predicate
-        self.targets = targets
-        self.callee = callee
-        self.width = width              # load/store access width (or 0)
-        self.is_cfi = is_cfi            # cfi_ret / cfi_icall
-
-
-class PredecodedFunction:
-    """A function's predecoded body plus its register-slot assignment."""
-
-    __slots__ = ("native", "n_insns", "name", "base", "nparams",
-                 "nslots", "name_to_slot", "param_slots", "insns")
-
-    def __init__(self, native: NativeFunction):
-        self.native = native
-        self.n_insns = len(native.insns)
-        self.name = native.name
-        self.base = native.base
-        self.nparams = len(native.params)
-
-        name_to_slot: dict[str, int] = {}
-        for param in native.params:
-            name_to_slot.setdefault(param, len(name_to_slot))
-        # One slot per *declared* parameter (duplicates collapse to one
-        # slot; assigning arguments in order reproduces the reference
-        # tier's ``dict(zip(params, args))`` last-wins behavior).
-        self.param_slots = [name_to_slot[p] for p in native.params]
-        for insn in native.insns:
-            if insn.result is not None and insn.result not in name_to_slot:
-                name_to_slot[insn.result] = len(name_to_slot)
-            for operand in insn.operands:
-                if isinstance(operand, Reg) \
-                        and operand.name not in name_to_slot:
-                    name_to_slot[operand.name] = len(name_to_slot)
-        self.name_to_slot = name_to_slot
-        self.nslots = len(name_to_slot)
-
-        self.insns = [self._predecode_insn(insn) for insn in native.insns]
-
-    def _predecode_insn(self, insn: NativeInsn) -> PredecodedInsn:
-        op = insn.opcode
-        kind = _CONTROL_OPCODES.get(op, PK_SIMPLE)
-        dst = (self.name_to_slot[insn.result]
-               if insn.result is not None else None)
-        ops = tuple(self._operand_spec(operand)
-                    for operand in insn.operands)
-        width = 0
-        if kind == PK_SIMPLE:
-            if op.startswith("load") and op[4:].isdigit():
-                width = int(op[4:])
-            elif op.startswith("store") and op[5:].isdigit():
-                width = int(op[5:])
-        return PredecodedInsn(kind=kind, opcode=op, dst=dst, ops=ops,
-                              predicate=insn.predicate,
-                              targets=list(insn.targets),
-                              callee=insn.callee, width=width,
-                              is_cfi=op in ("cfi_ret", "cfi_icall"))
-
-    def _operand_spec(self, operand: Operand):
-        if isinstance(operand, Reg):
-            return ("r", self.name_to_slot[operand.name], operand.name)
-        if isinstance(operand, Imm):
-            return ("v", operand.value)
-        # Unlowered operand (hand-built image): the fast tier raises the
-        # same "unresolved operand" error the reference tier does.
-        return ("x", operand)
-
-
 class NativeImage:
     """A translated module: functions at code addresses + a data segment."""
 
@@ -186,7 +68,6 @@ class NativeImage:
         self.data_size = 0
         self.signature: bytes | None = None
         self._addr_index: dict[int, NativeFunction] = {}
-        self._predecoded: dict[str, PredecodedFunction] = {}
         self._locate_bases: list[int] | None = None
         self._locate_funcs: list[NativeFunction] = []
         self._locate_cache: dict[int, tuple[NativeFunction, int]] = {}
@@ -227,16 +108,6 @@ class NativeImage:
                 self._locate_cache[addr] = result
                 return result
         return None
-
-    def predecoded(self, function: NativeFunction) -> PredecodedFunction:
-        """Predecode ``function`` (cached; see the predecode stage above)."""
-        cached = self._predecoded.get(function.name)
-        if (cached is not None and cached.native is function
-                and cached.n_insns == len(function.insns)):
-            return cached
-        pre = PredecodedFunction(function)
-        self._predecoded[function.name] = pre
-        return pre
 
     @property
     def code_size(self) -> int:

@@ -5,9 +5,9 @@ implement the full design: a TPM storage key seals the Virtual Ghost RSA
 key pair, which signs application executables and decrypts the per-app key
 section, which in turn protects application data at rest and in transit.
 
-Nothing here uses an external crypto library -- AES, SHA-256, HMAC,
-HMAC-DRBG, and RSA (Miller-Rabin key generation, PKCS#1-v1.5-style
-signatures) are all implemented in this package. Keys are small by real
+AES, HMAC, HMAC-DRBG, and RSA (Miller-Rabin key generation,
+PKCS#1-v1.5-style signatures) are implemented in this package; SHA-256
+is the standard library's ``hashlib``. Keys are small by real
 standards (RSA-1024 by default) because the simulation only needs the
 *structure* of the trust chain; ciphertexts are nevertheless genuinely
 opaque to the simulated OS.

@@ -71,7 +71,3 @@ def ctr_xcrypt(cipher: AES128, nonce: bytes, data: bytes) -> bytes:
     stream = ctr_keystream(cipher, nonce, len(data))
     return bytes(x ^ y for x, y in zip(data, stream))
 
-
-def aes_block_count(length: int) -> int:
-    """Blocks processed when CTR/CBC-handling ``length`` bytes (for costs)."""
-    return (length + _BLOCK - 1) // _BLOCK

@@ -1,75 +1,10 @@
-"""SHA-256, implemented from the FIPS 180-4 specification."""
+"""SHA-256 (FIPS 180-4), backed by the standard library's ``hashlib``."""
 
 from __future__ import annotations
 
-_K = (
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5,
-    0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc,
-    0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3,
-    0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5,
-    0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-)
-
-_H0 = (
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-)
-
-_MASK = 0xFFFFFFFF
-
-
-def _rotr(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _MASK
-
-
-def _compress(state: list[int], block: bytes) -> None:
-    w = list(int.from_bytes(block[i:i + 4], "big") for i in range(0, 64, 4))
-    for i in range(16, 64):
-        s0 = _rotr(w[i - 15], 7) ^ _rotr(w[i - 15], 18) ^ (w[i - 15] >> 3)
-        s1 = _rotr(w[i - 2], 17) ^ _rotr(w[i - 2], 19) ^ (w[i - 2] >> 10)
-        w.append((w[i - 16] + s0 + w[i - 7] + s1) & _MASK)
-
-    a, b, c, d, e, f, g, h = state
-    for i in range(64):
-        s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-        ch = (e & f) ^ (~e & g)
-        temp1 = (h + s1 + ch + _K[i] + w[i]) & _MASK
-        s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-        maj = (a & b) ^ (a & c) ^ (b & c)
-        temp2 = (s0 + maj) & _MASK
-        h, g, f, e = g, f, e, (d + temp1) & _MASK
-        d, c, b, a = c, b, a, (temp1 + temp2) & _MASK
-
-    for i, value in enumerate((a, b, c, d, e, f, g, h)):
-        state[i] = (state[i] + value) & _MASK
+import hashlib
 
 
 def sha256(data: bytes) -> bytes:
     """Return the 32-byte SHA-256 digest of ``data``."""
-    state = list(_H0)
-    length = len(data)
-    padded = data + b"\x80"
-    padded += bytes((56 - len(padded)) % 64)
-    padded += (length * 8).to_bytes(8, "big")
-    for i in range(0, len(padded), 64):
-        _compress(state, padded[i:i + 64])
-    return b"".join(word.to_bytes(4, "big") for word in state)
-
-
-def sha256_block_count(length: int) -> int:
-    """Number of 64-byte compression blocks hashing ``length`` bytes takes.
-
-    Used by cost accounting so hashing time scales with data size.
-    """
-    return (length + 9 + 63) // 64
+    return hashlib.sha256(data).digest()

@@ -119,12 +119,11 @@ class CycleClock:
 
     The cost model is frozen into a plain dict at construction time
     (after :meth:`CostModel.validate`), so the hot ``charge`` path does a
-    single dict lookup instead of a ``getattr``. ``charge_batch`` lets
-    tight loops (the module interpreter's fast tier) accumulate event
-    counts locally and settle them in one call; because every total here
-    is a sum of ``units * cost``, batching never changes ``cycles``,
-    ``counters``, or ``cycles_by_kind`` -- only how often this object is
-    touched.
+    single dict lookup instead of a ``getattr``. ``charge_batch`` lets a
+    caller that accumulates event counts locally settle them in one call;
+    because every total here is a sum of ``units * cost``, batching never
+    changes ``cycles``, ``counters``, or ``cycles_by_kind`` -- only how
+    often this object is touched.
     """
 
     def __init__(self, costs: CostModel | None = None):

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.rootkit import RootkitAttack
 from repro.compiler.codegen import CodeGenerator
 from repro.compiler.interp import ExecutionLimits, Interpreter
 from repro.compiler.parser import parse_module
 from repro.compiler.verifier import verify_module
+from repro.core.config import VGConfig
 from repro.core.layout import KERNEL_CODE_START
 from repro.errors import InterpreterError
 from repro.hardware.clock import CycleClock
+from tests.security.test_rootkit import _run_attack
 
 CODE_BASE = KERNEL_CODE_START + 0x100000
 DATA_BASE = KERNEL_CODE_START + 0x200000
@@ -98,12 +101,35 @@ def test_division_by_zero_raises():
         run_expr("  %x = udiv 1, 0\n  ret %x")
 
 
+def test_division_by_zero_mid_run_keeps_prior_charges():
+    source = """
+module t
+func @f(%x) {
+entry:
+  %a = add %x, 1
+  %b = mul %a, 2
+  %q = udiv %b, 0
+  %c = add %q, 1
+  ret %c
+}
+"""
+    interp, _, _ = build(source)
+    with pytest.raises(InterpreterError, match="division by zero"):
+        interp.run("f", [5])
+    # the two instructions before it and the failing one's own charge
+    # (charges precede evaluation); nothing after it ran
+    assert interp.clock.counters["instr"] == 3
+    assert interp.steps_executed == 3
+
+
 @pytest.mark.parametrize("pred, a, b, expected", [
     ("eq", 5, 5, 1), ("ne", 5, 5, 0),
     ("ult", 3, 5, 1), ("ugt", 3, 5, 0),
     ("ule", 5, 5, 1), ("uge", 4, 5, 0),
     ("slt", 2 ** 64 - 1, 0, 1),        # -1 < 0 signed
     ("sgt", 2 ** 64 - 1, 0, 0),
+    ("sle", 2 ** 64 - 1, 0, 1),
+    ("sge", 2 ** 64 - 1, 0, 0),
 ])
 def test_icmp(pred, a, b, expected):
     assert run_expr(f"  %x = icmp {pred} {a}, {b}\n  ret %x") == expected
@@ -176,8 +202,13 @@ entry:
     interp = Interpreter(image, DictMemory(), CycleClock(), externs={},
                          stack_top=STACK_TOP,
                          limits=ExecutionLimits(max_steps=1000))
-    with pytest.raises(InterpreterError, match="step limit"):
+    with pytest.raises(InterpreterError, match="step limit") as excinfo:
         interp.run("spin", [])
+    message = str(excinfo.value)
+    assert "1001 steps executed" in message
+    assert "in @spin" in message
+    assert "max_steps=1000" in message
+    assert interp.steps_executed == 1001
 
 
 def test_call_depth_limit():
@@ -204,6 +235,37 @@ def test_wrong_arity_rejected():
     interp, _, _ = build(LOOP)
     with pytest.raises(InterpreterError, match="args"):
         interp.run("sum", [1, 2])
+
+
+@pytest.mark.parametrize("source, args, message", [
+    ("""
+module t
+func @g(%flag) {
+entry:
+  condbr %flag, set, use
+set:
+  %v = mov 42
+  br use
+use:
+  %r = add %v, 1
+  ret %r
+}
+""", [0], "read of undefined register %v in @g"),
+    ("""
+module t
+extern @mystery/1
+func @g(%x) {
+entry:
+  %r = call @mystery(%x)
+  ret %r
+}
+""", [9], "call to unknown @mystery"),
+])
+def test_runtime_error_messages(source, args, message):
+    interp, _, _ = build(source)
+    with pytest.raises(InterpreterError) as excinfo:
+        interp.run("g", args)
+    assert str(excinfo.value) == message
 
 
 def test_unknown_function_rejected():
@@ -314,6 +376,35 @@ entry:
     assert calls == [(1, 2, 3)]
 
 
+def test_extern_sees_clock_charged_up_to_its_call():
+    """Externs run host code that may read the clock, so every charge
+    before the call -- including the call's own -- is already on it."""
+    seen = []
+
+    def spy(args):
+        seen.append((clock.cycles, dict(clock.counters)))
+        return args[0] * 2
+
+    source = """
+module t
+extern @spy/1
+func @f(%x) {
+entry:
+  %a = add %x, 1
+  %r = call @spy(%a)
+  %s = add %r, 1
+  ret %s
+}
+"""
+    interp, _, _ = build(source, externs={"spy": spy})
+    clock = interp.clock
+    assert interp.run("f", [4]) == 11
+    # the pushed host return address, the add, the call
+    expected = {"mem_access": 1, "instr": 1, "call": 1}
+    assert seen == [(sum(getattr(clock.costs, kind) * units
+                         for kind, units in expected.items()), expected)]
+
+
 def test_indirect_call_through_function_pointer():
     source = """
 module t
@@ -351,3 +442,66 @@ entry:
     bad = image.functions["target"].base + 1       # mid-function
     with pytest.raises(InterpreterError, match="non-entry|non-function"):
         interp.run("f", [bad])
+
+
+# -- control-flow hijacks ----------------------------------------------------------
+
+VULNERABLE_MODULE = """
+module vulnmod
+extern @klog/2
+global @pwned 8
+global @banner 16 = "kernel pwned"
+func @grant_root() {
+entry:
+  store8 1, @pwned
+  %r = call @klog(@banner, 12)
+  ret 0
+}
+func @parse_packet(%value, %offset) {
+entry:
+  %buf = alloca 32
+  %slot = add %buf, %offset
+  store8 %value, %slot
+  ret 0
+}
+func @handle(%value, %offset) {
+entry:
+  %r = call @parse_packet(%value, %offset)
+  ret %r
+}
+"""
+
+
+def test_return_hijacked_to_function_entry():
+    """Offset 32 overwrites parse_packet's saved return address; the
+    return then continues in @grant_root, not in @handle, and @grant_root's
+    own return unwinds handle's frame back to the host."""
+    logged = []
+    interp, memory, image = build(
+        VULNERABLE_MODULE, externs={"klog": lambda args: logged.append(
+            tuple(args)) or 0})
+    gadget = image.functions["grant_root"].base
+    assert interp.run("handle", [gadget, 32]) == 0
+    assert memory.load(image.global_addrs["pwned"], 8) == 1
+    assert logged == [(image.global_addrs["banner"], 12)]
+    # handle's call, parse_packet's 4 insns, grant_root's 3 insns
+    assert interp.steps_executed == 8
+    assert interp.clock.counters["ret"] == 2
+
+
+def test_rootkit_direct_read_runs_interpreted_and_reads_masked_zeros():
+    """The full rootkit module (hooked read syscall, real kernel externs)
+    runs on the interpreter under Virtual Ghost, steals nothing, and
+    replays to the same cycle."""
+    runs = []
+    for _ in range(2):
+        system, victim, result, status = _run_attack(
+            VGConfig.virtual_ghost(), RootkitAttack.MODE_DIRECT)
+        assert not (result.console_leak or result.file_leak)
+        assert status == 0 and victim.secret_intact_after
+        assert system.kernel.ctx.stray_reads > 0
+        # the module's sandboxing masks executed on the interpreter
+        assert system.machine.clock.counters["mask_check"] > 0
+        runs.append((system.machine.clock.cycles,
+                     dict(system.machine.clock.counters)))
+    assert runs[0] == runs[1]

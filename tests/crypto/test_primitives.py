@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from repro.crypto.aes import AES128
 from repro.crypto.drbg import HmacDRBG
 from repro.crypto.hmac import constant_time_equal, hmac_sha256
-from repro.crypto.modes import (aes_block_count, cbc_decrypt, cbc_encrypt,
-                                ctr_keystream, ctr_xcrypt, pkcs7_pad,
-                                pkcs7_unpad)
-from repro.crypto.sha256 import sha256, sha256_block_count
+from repro.crypto.modes import (cbc_decrypt, cbc_encrypt, ctr_keystream,
+                                ctr_xcrypt, pkcs7_pad, pkcs7_unpad)
+from repro.crypto.sha256 import sha256
 
 
 # -- SHA-256 --------------------------------------------------------------------
@@ -30,13 +29,6 @@ def test_sha256_matches_hashlib(message):
 @settings(max_examples=60, deadline=None)
 def test_sha256_matches_hashlib_random(message):
     assert sha256(message) == hashlib.sha256(message).digest()
-
-
-def test_sha256_block_count():
-    assert sha256_block_count(0) == 1
-    assert sha256_block_count(55) == 1
-    assert sha256_block_count(56) == 2
-    assert sha256_block_count(64) == 2
 
 
 # -- AES -----------------------------------------------------------------------------
@@ -112,13 +104,6 @@ def test_cbc_differs_from_plaintext():
     cipher = AES128(b"k" * 16)
     ct = cbc_encrypt(cipher, bytes(16), b"attack at dawn")
     assert b"attack" not in ct
-
-
-def test_aes_block_count():
-    assert aes_block_count(0) == 0
-    assert aes_block_count(1) == 1
-    assert aes_block_count(16) == 1
-    assert aes_block_count(17) == 2
 
 
 # -- HMAC --------------------------------------------------------------------------------

@@ -65,15 +65,6 @@ def test_written_files_deterministic_modulo_meta(tmp_path):
         assert "wall_seconds" in docs[0]["meta"]
 
 
-def test_interpreter_tier_does_not_change_results(monkeypatch):
-    """Simulated benchmark tables are tier-independent: forcing the
-    reference interpreter tier must reproduce the fast tier's results."""
-    fast = runner.run_grid(workers=1, **_GRID)
-    monkeypatch.setenv("REPRO_INTERP_TIER", "reference")
-    reference = runner.run_grid(workers=1, **_GRID)
-    assert _results_bytes(fast) == _results_bytes(reference)
-
-
 def test_enumerate_points_stable_order():
     kwargs = dict(iterations=5, count=8, transactions=40)
     once = runner.enumerate_points(("table2", "table3"), **kwargs)
