@@ -22,6 +22,11 @@ runner = importlib.util.module_from_spec(_spec)
 sys.modules.setdefault("bench_runner", runner)
 _spec.loader.exec_module(runner)
 
+_golden_spec = importlib.util.spec_from_file_location(
+    "bench_golden_diff", _RUNNER_PATH.with_name("golden_diff.py"))
+golden_diff = importlib.util.module_from_spec(_golden_spec)
+_golden_spec.loader.exec_module(golden_diff)
+
 # A tiny grid keeps this inside tier-1 budgets: one table, small sizes.
 _GRID = dict(tables=("table5",), transactions=40)
 
@@ -71,3 +76,25 @@ def test_enumerate_points_stable_order():
     twice = runner.enumerate_points(("table2", "table3"), **kwargs)
     assert once == twice
     assert len(once) > 2
+
+
+def test_golden_diff_flags_a_drifted_number_and_updates(tmp_path):
+    runner.run_grid(workers=1, out_dir=str(tmp_path / "run"), **_GRID)
+    name = runner._OUT_NAMES["table5"]
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    with open(tmp_path / "run" / name) as handle:
+        results = json.load(handle)["results"]
+    (golden / name).write_text(golden_diff._render(results))
+    assert golden_diff.diff_results(str(tmp_path / "run"),
+                                    str(golden)) == []
+
+    results["overhead"] += 1
+    (golden / name).write_text(golden_diff._render(results))
+    lines = golden_diff.diff_results(str(tmp_path / "run"), str(golden))
+    assert any(line.startswith("-") and '"overhead"' in line
+               for line in lines)
+    golden_diff.diff_results(str(tmp_path / "run"), str(golden),
+                             update=True)
+    assert golden_diff.diff_results(str(tmp_path / "run"),
+                                    str(golden)) == []

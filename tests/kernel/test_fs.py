@@ -9,8 +9,9 @@ from repro.hardware.disk import Disk
 from repro.hardware.platform import Machine, MachineConfig
 from repro.kernel.context import KernelContext
 from repro.kernel.pipe import PIPE_CAPACITY, make_pipe
-from repro.kernel.simplefs import (BLOCK_SIZE, BufferCache, SimpleFS,
-                                   NUM_DIRECT)
+from repro.kernel.simplefs import (BLOCK_SIZE, DIRENTS_PER_BLOCK,
+                                   MAX_NAME, BufferCache, SimpleFS,
+                                   SimpleFSVnode, NUM_DIRECT)
 from repro.kernel.vfs import VnodeType
 from repro.system import System
 
@@ -153,6 +154,145 @@ def test_many_files_in_directory(fs):
         root.create(f"file{index:03d}", VnodeType.REGULAR)
     assert len(root.entries()) == 100
     assert root.lookup("file057") is not None
+
+
+# -- directory scan boundaries ----------------------------------------------------
+
+#: past the direct pointers by half a block: 12 direct blocks + 1 indirect
+_BIG_DIR = NUM_DIRECT * DIRENTS_PER_BLOCK + DIRENTS_PER_BLOCK // 2
+
+
+def _fresh_fs(num_inodes: int = 1024):
+    machine = Machine(MachineConfig(disk_sectors=32768))
+    ctx = KernelContext(machine, VGConfig.native())
+    filesystem = SimpleFS(machine.disk, ctx)
+    filesystem.mkfs(num_inodes=num_inodes)
+    return filesystem, filesystem.mount()
+
+
+@pytest.fixture(scope="module")
+def big_dir():
+    """A directory whose slot ``i`` holds ``n{i}`` (read-only use)."""
+    filesystem, root = _fresh_fs()
+    children = [root.create(f"n{slot}", VnodeType.REGULAR).inode_number
+                for slot in range(_BIG_DIR)]
+    return filesystem, root, children
+
+
+def _slot_of(root, name):
+    inode = root.fs.read_inode(root.inode_number)
+    entry = root._find_entry(inode, name)
+    return None if entry is None else entry[0]
+
+
+@pytest.mark.parametrize("slot", sorted(
+    {edge for block in range(-(-_BIG_DIR // DIRENTS_PER_BLOCK))
+     for edge in (block * DIRENTS_PER_BLOCK,
+                  block * DIRENTS_PER_BLOCK + DIRENTS_PER_BLOCK - 1)
+     if edge < _BIG_DIR} | {_BIG_DIR - 1}))
+def test_lookup_first_and_last_slot_of_each_block(big_dir, slot):
+    # includes 767/768, where scans cross from direct to indirect blocks
+    _, root, children = big_dir
+    assert root.lookup(f"n{slot}").inode_number == children[slot]
+    assert _slot_of(root, f"n{slot}") == slot
+
+
+def test_lookup_miss_examines_every_slot_once(big_dir, monkeypatch):
+    filesystem, root, _ = big_dir
+    examined = []
+    decode = SimpleFSVnode.read_dirent
+
+    def counting(self, block, slot):
+        examined.append(slot)
+        return decode(self, block, slot)
+
+    monkeypatch.setattr(SimpleFSVnode, "read_dirent", counting)
+    hits = filesystem.cache.hits
+    with pytest.raises(SyscallError, match="ENOENT"):
+        root.lookup("absent")
+    assert examined == list(range(_BIG_DIR))
+    # every block is resident: one hit for the directory's inode, one per
+    # direct slot, two (indirect table + data) per slot past them
+    direct = NUM_DIRECT * DIRENTS_PER_BLOCK
+    assert filesystem.cache.hits - hits == (
+        1 + direct + 2 * (_BIG_DIR - direct))
+
+
+def test_create_reuses_lowest_tombstone_slot():
+    _, root = _fresh_fs()
+    for slot in range(2 * DIRENTS_PER_BLOCK + 2):
+        root.create(f"n{slot}", VnodeType.REGULAR)
+    size = root.size
+    for slot in (100, 5, 70):
+        root.unlink(f"n{slot}")
+    for name, slot in (("a", 5), ("b", 70), ("c", 100)):
+        root.create(name, VnodeType.REGULAR)
+        assert _slot_of(root, name) == slot
+    assert root.size == size
+    root.create("d", VnodeType.REGULAR)
+    assert _slot_of(root, "d") == 2 * DIRENTS_PER_BLOCK + 2
+    assert root.size == size + 64
+
+
+def test_entries_keep_slot_order_and_skip_tombstones():
+    _, root = _fresh_fs()
+    names = [f"n{slot}" for slot in range(DIRENTS_PER_BLOCK + 3)]
+    for name in names:
+        root.create(name, VnodeType.REGULAR)
+    for name in ("n0", "n63", "n64", "n66"):
+        root.unlink(name)
+        names.remove(name)
+    assert root.entries() == names
+    root.create("z", VnodeType.REGULAR)       # lands in slot 0
+    assert root.entries() == ["z"] + names
+
+
+def test_all_tombstone_directory_lists_empty():
+    _, root = _fresh_fs()
+    for slot in range(3):
+        root.create(f"n{slot}", VnodeType.REGULAR)
+    for slot in range(3):
+        root.unlink(f"n{slot}")
+    assert root.entries() == []
+    with pytest.raises(SyscallError, match="ENOENT"):
+        root.lookup("n1")
+
+
+# -- name length and directory unlink -------------------------------------------
+
+def test_name_limit_is_in_utf8_bytes(fs):
+    filesystem, root = fs
+    fits = "é" * (MAX_NAME // 2)                  # 54 bytes
+    child = root.create(fits, VnodeType.REGULAR)
+    assert root.entries() == [fits]
+    assert root.lookup(fits) is child
+    with pytest.raises(SyscallError, match="ENAMETOOLONG"):
+        root.create("é" * (MAX_NAME // 2 + 1), VnodeType.REGULAR)
+    with pytest.raises(SyscallError, match="ENAMETOOLONG"):
+        root.create("x" * (MAX_NAME + 1), VnodeType.REGULAR)
+    assert root.entries() == [fits]
+    filesystem.sync()                 # directory blocks stay block-sized
+
+
+def test_unencodable_name_rejected(fs):
+    _, root = fs
+    with pytest.raises(SyscallError, match="EINVAL"):
+        root.create("bad\ud800", VnodeType.REGULAR)
+    assert root.entries() == []
+
+
+def test_unlink_non_empty_directory_rejected(fs):
+    filesystem, root = fs
+    sub = root.create("d", VnodeType.DIRECTORY)
+    inner = sub.create("x", VnodeType.REGULAR)
+    with pytest.raises(SyscallError, match="ENOTEMPTY"):
+        root.unlink("d")
+    assert root.lookup("d") is sub
+    assert sub.lookup("x") is inner
+    assert inner.vtype == VnodeType.REGULAR
+    sub.unlink("x")                    # only a tombstone left
+    root.unlink("d")
+    assert root.entries() == []
 
 
 def test_out_of_inodes():

@@ -137,6 +137,43 @@ def test_mkdir_and_nested_files(native_system):
     assert program.result == 6
 
 
+def test_name_limit_counts_utf8_bytes(any_system):
+    fits, too_long = "é" * 27, "é" * 28       # 54 and 56 bytes
+
+    def body(env, program):
+        fd = yield from env.sys_open("/" + fits, O_WRONLY | O_CREAT)
+        yield from env.sys_close(fd)
+        program.result = [
+            fd >= 0,
+            (yield from env.sys_open("/" + too_long, O_WRONLY | O_CREAT)),
+            (yield from env.sys_mkdir("/dd" + fits[1:])),    # 54 bytes
+            (yield from env.sys_mkdir("/" + too_long)),
+            (yield from env.sys_open("/bad\ud800", O_WRONLY | O_CREAT)),
+            (yield from env.sys_stat("/" + fits)),
+        ]
+        return 0
+
+    _, program = run_script(any_system, body)
+    assert program.result == [True, -ERRNO["ENAMETOOLONG"], 0,
+                              -ERRNO["ENAMETOOLONG"], -ERRNO["EINVAL"], 0]
+    root = any_system.kernel.vfs.resolve("/")[0]
+    assert root.entries() == [fits, "dd" + fits[1:]]
+
+
+def test_unlink_non_empty_directory_is_enotempty(native_system):
+    def body(env, program):
+        yield from env.sys_mkdir("/d")
+        fd = yield from env.sys_open("/d/x", O_WRONLY | O_CREAT)
+        yield from env.sys_close(fd)
+        first = yield from env.sys_unlink("/d")
+        yield from env.sys_unlink("/d/x")
+        program.result = [first, (yield from env.sys_unlink("/d"))]
+        return 0
+
+    _, program = run_script(native_system, body)
+    assert program.result == [-ERRNO["ENOTEMPTY"], 0]
+
+
 def test_ftruncate(native_system):
     native_system.write_file("/t.txt", b"longcontent")
 
