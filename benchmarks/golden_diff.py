@@ -1,7 +1,7 @@
 """Diff a runner's simulated results against the committed golden copies.
 
 ``benchmarks/golden/`` holds the ``results`` section of each
-``BENCH_*.json`` that the Tables 3-5 grid writes at the runner's default
+``BENCH_*.json`` that the Tables 2-5 grid writes at the runner's default
 sizes. Those sections are deterministic, so any change that moves a
 simulated number shows up here as a reviewable diff. ``meta`` (wall
 time, worker count) is ignored.
@@ -9,7 +9,7 @@ time, worker count) is ignored.
 Usage::
 
     PYTHONPATH=src python benchmarks/runner.py \\
-        --tables table3,table4,table5 --workers 2 --out-dir results/
+        --tables table2,table3,table4,table5 --workers 2 --out-dir results/
     python benchmarks/golden_diff.py results/
 
 Exits 1 and prints a unified diff when any table differs. After a

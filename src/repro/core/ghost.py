@@ -56,6 +56,10 @@ class GhostManager:
     def drop_partition(self, pid: int) -> GhostPartition | None:
         return self._partitions.pop(pid, None)
 
+    def uses_root(self, root: int) -> bool:
+        """Whether any partition belongs to the address space ``root``."""
+        return any(part.root == root for part in self._partitions.values())
+
     def validate_range(self, vaddr: int, num_pages: int) -> None:
         """The requested range must sit inside the ghost partition."""
         if num_pages <= 0:

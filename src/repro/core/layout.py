@@ -34,6 +34,13 @@ KERNEL_END = 0xFFFF_FF00_0000_0000
 GHOST_START = 0xFFFF_FF00_0000_0000
 GHOST_END = 0xFFFF_FF80_0000_0000
 
+#: Each process's ghost heap starts at its pid's 256 MiB slot. Pids wrap
+#: around the 2,048 slots: every process has its own address space (and
+#: ``GhostManager`` keys partitions by pid), so two processes sharing a
+#: slot never collide.
+GHOST_SLOT_SIZE = 0x1000_0000
+GHOST_SLOTS = (GHOST_END - GHOST_START) // GHOST_SLOT_SIZE
+
 #: Where masked ghost addresses land: deliberately unmapped ("dead zone").
 #: OR-ing bit 39 into a ghost address can produce anything from GHOST_END
 #: up to the top of the address space, so the whole remainder is dead.
@@ -106,6 +113,11 @@ def mask_address(addr: int) -> int:
     if addr >= GHOST_START:
         return (addr | MASK_BIT) & _U64
     return addr
+
+
+def ghost_slot_base(pid: int) -> int:
+    """Where process ``pid``'s ghost allocations begin."""
+    return GHOST_START + pid % GHOST_SLOTS * GHOST_SLOT_SIZE
 
 
 def is_page_aligned(addr: int) -> bool:

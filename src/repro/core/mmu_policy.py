@@ -42,6 +42,8 @@ class MMUPolicy:
         self._reverse: dict[int, set[tuple[int, int]]] = defaultdict(set)
         # (root, page-aligned vaddr) -> frame
         self._at: dict[tuple[int, int], int] = {}
+        # root -> how many pages it maps
+        self._mapped: dict[int, int] = defaultdict(int)
         self.denied_updates = 0
 
     # -- frame classification (called by the SVA VM, trusted) -------------------
@@ -59,11 +61,17 @@ class MMUPolicy:
 
     def record_mapping(self, root: int, vaddr: int, frame: int) -> None:
         self._reverse[frame].add((root, vaddr))
+        if (root, vaddr) not in self._at:
+            self._mapped[root] += 1
         self._at[(root, vaddr)] = frame
 
     def record_unmapping(self, root: int, vaddr: int, frame: int) -> None:
         self._reverse[frame].discard((root, vaddr))
-        self._at.pop((root, vaddr), None)
+        if self._at.pop((root, vaddr), None) is not None:
+            self._mapped[root] -= 1
+
+    def maps_anything(self, root: int) -> bool:
+        return self._mapped.get(root, 0) > 0
 
     def frame_at(self, root: int, vaddr: int) -> int | None:
         return self._at.get((root, vaddr))

@@ -38,16 +38,20 @@ from repro.core.ghost import GhostManager
 from repro.core.icontext import (ICRegistry, InterruptContext, ThreadState,
                                  TrapKind, scrub_for_kernel)
 from repro.core.keymgmt import KeyManager, SignedExecutable
-from repro.core.layout import (KERNEL_CODE_START, KERNEL_HEAP_START,
-                               page_of)
+from repro.core.layout import (GHOST_START, KERNEL_CODE_START,
+                               KERNEL_HEAP_START, page_of)
 from repro.core.mmu_policy import FrameKind, MMUPolicy
 from repro.core.swap import SwapService
 from repro.crypto.drbg import HmacDRBG
 from repro.errors import KernelError, SecurityViolation
 from repro.hardware.cpu import RegisterFile
 from repro.hardware.memory import PAGE_SIZE
-from repro.hardware.mmu import PTE_NX, PTE_USER, PTE_WRITE
+from repro.hardware.mmu import PTE_NX, PTE_USER, PTE_WRITE, vpn_indices
 from repro.hardware.platform import Machine
+
+#: First L4 slot a process does not share with the kernel (the ghost
+#: partition, then the dead zone above it).
+_GHOST_L4 = vpn_indices(GHOST_START)[0]
 
 
 class FrameSource(Protocol):
@@ -102,6 +106,9 @@ class SVAVM:
         self._thread_states: dict[int, ThreadState] = {}
         # tid -> kernel-stack address for the serialized IC (native mode)
         self._kstack_ic_addr: dict[int, int] = {}
+        # process root -> every page-table frame taken for it (the root
+        # included), kept so sva.mmu.release_root never walks the tables
+        self._root_tables: dict[int, list[int]] = {}
         # valid kernel entry points for sva.newstate
         self._kernel_entries: set[int] = set()
         self._next_kernel_entry = KERNEL_CODE_START + 0x1000
@@ -234,22 +241,35 @@ class SVAVM:
 
     def mmu_new_root(self) -> int:
         """Create a process address space sharing the kernel half."""
-        from repro.core.layout import GHOST_START
-        from repro.hardware.mmu import vpn_indices
-        ghost_l4 = vpn_indices(GHOST_START)[0]
         root = self.machine.pt_editor.new_table(self._take_pt_frame)
         if self._kernel_root is not None:
             # Share the kernel's upper-half L4 entries, except the ghost
             # partition (and the dead zone above it): ghost mappings are
             # per-process by design.
-            for index in range(256, 512):
-                if index >= ghost_l4:
-                    continue
+            for index in range(256, _GHOST_L4):
                 word = self.machine.phys.read_word(
                     self._kernel_root + index * 8)
                 self.machine.phys.write_word(root + index * 8, word)
             self.clock.charge("copy_per_word", 256)
+        self._root_tables[root] = [root // PAGE_SIZE]
         return root
+
+    def _table_supplier(self, root: int, vaddr: int) -> Callable[[], int]:
+        """Frame supplier for a walk of ``root`` down to ``vaddr``.
+
+        Tables below a process root's private L4 slots (user half, ghost
+        partition, dead zone) are noted against that root; tables under
+        the kernel-shared slots belong to the kernel and are never noted.
+        """
+        tables = self._root_tables.get(root)
+        if tables is None or 256 <= (vaddr >> 39) & 0x1FF < _GHOST_L4:
+            return self._take_pt_frame
+
+        def take() -> int:
+            frame = self._take_pt_frame()
+            tables.append(frame)
+            return frame
+        return take
 
     def mmu_map_page(self, root: int, vaddr: int, frame: int, *,
                      writable: bool, user: bool, executable: bool = False,
@@ -270,7 +290,7 @@ class SVAVM:
         if not executable:
             flags |= PTE_NX
         self.machine.pt_editor.map_page(root, page_of(vaddr), frame, flags,
-                                        self._take_pt_frame)
+                                        self._table_supplier(root, vaddr))
         self.policy.record_mapping(root, page_of(vaddr), frame)
         self.machine.mmu.invalidate(vaddr)
 
@@ -317,6 +337,37 @@ class SVAVM:
         """Context-switch the address space (CR3 reload)."""
         self.clock.charge("context_switch")
         self.machine.load_page_table(root)
+
+    def mmu_release_root(self, root: int) -> None:
+        """sva.mmu.release_root: return a dead address space's page-table
+        frames to the OS.
+
+        Refused for the kernel's root, for a root loaded in ``cr3``, and
+        for a root that still maps any page or backs a ghost partition.
+        Only the frames noted against the root as it grew are released,
+        so the kernel's tables behind the shared L4 slots stay put. Each
+        frame is zeroed, declassified and DMA-allowed, as ghost frames
+        are when a partition is released.
+        """
+        self.clock.charge("sva_dispatch")
+        tables = self._root_tables.get(root)
+        if tables is None:
+            raise SecurityViolation(
+                f"sva.mmu.release_root: {root:#x} is not a process root")
+        if root == self.machine.cpu.cr3:
+            raise SecurityViolation(
+                f"sva.mmu.release_root: {root:#x} is loaded in cr3")
+        if self.policy.maps_anything(root) or self.ghosts.uses_root(root):
+            raise SecurityViolation(
+                f"sva.mmu.release_root: {root:#x} still maps pages")
+        del self._root_tables[root]
+        for frame in tables:
+            self.machine.phys.zero_frame(frame)
+            self.clock.charge("zero_page")
+            self.policy.declassify_frame(frame)
+            if self.config.dma_protection:
+                self.machine.iommu.allow_frame(frame)
+            self.frame_source.reclaim_frame(frame)
 
     def declare_code_frame(self, frame: int) -> None:
         """Mark a frame as holding native code (non-remappable)."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hmac import compare_digest
+
 from repro.crypto.sha256 import sha256
 
 _BLOCK = 64
@@ -17,15 +19,5 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     return sha256(outer + sha256(inner + message))
 
 
-def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Compare two byte strings without early exit.
-
-    (The simulation has no real timing side channel, but the API mirrors
-    what secure code should do.)
-    """
-    if len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0
+#: Compare two byte strings in time independent of where they differ.
+constant_time_equal = compare_digest

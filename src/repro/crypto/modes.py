@@ -26,6 +26,12 @@ def pkcs7_unpad(data: bytes, block_size: int = _BLOCK) -> bytes:
     return data[:-pad]
 
 
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR two equal-length byte strings as two big integers."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+        len(a), "big")
+
+
 def cbc_encrypt(cipher: AES128, iv: bytes, plaintext: bytes) -> bytes:
     """CBC-encrypt PKCS#7-padded plaintext; returns ciphertext (no IV)."""
     if len(iv) != _BLOCK:
@@ -34,8 +40,8 @@ def cbc_encrypt(cipher: AES128, iv: bytes, plaintext: bytes) -> bytes:
     out = bytearray()
     previous = iv
     for i in range(0, len(data), _BLOCK):
-        block = bytes(x ^ y for x, y in zip(data[i:i + _BLOCK], previous))
-        previous = cipher.encrypt_block(block)
+        previous = cipher.encrypt_block(
+            xor_bytes(data[i:i + _BLOCK], previous))
         out += previous
     return bytes(out)
 
@@ -47,8 +53,7 @@ def cbc_decrypt(cipher: AES128, iv: bytes, ciphertext: bytes) -> bytes:
     previous = iv
     for i in range(0, len(ciphertext), _BLOCK):
         block = ciphertext[i:i + _BLOCK]
-        plain = cipher.decrypt_block(block)
-        out += bytes(x ^ y for x, y in zip(plain, previous))
+        out += xor_bytes(cipher.decrypt_block(block), previous)
         previous = block
     return pkcs7_unpad(bytes(out))
 
@@ -58,16 +63,13 @@ def ctr_keystream(cipher: AES128, nonce: bytes, length: int) -> bytes:
     if len(nonce) != _BLOCK:
         raise ValueError("CTR nonce must be one block")
     counter = int.from_bytes(nonce, "big")
-    stream = bytearray()
-    while len(stream) < length:
-        stream += cipher.encrypt_block(
-            (counter % (1 << 128)).to_bytes(_BLOCK, "big"))
-        counter += 1
-    return bytes(stream[:length])
+    blocks = -(-length // _BLOCK)
+    stream = b"".join(
+        cipher.encrypt_block(((counter + i) % (1 << 128)).to_bytes(
+            _BLOCK, "big")) for i in range(blocks))
+    return stream[:length]
 
 
 def ctr_xcrypt(cipher: AES128, nonce: bytes, data: bytes) -> bytes:
     """CTR mode: same operation encrypts and decrypts."""
-    stream = ctr_keystream(cipher, nonce, len(data))
-    return bytes(x ^ y for x, y in zip(data, stream))
-
+    return xor_bytes(data, ctr_keystream(cipher, nonce, len(data)))

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.config import VGConfig
 from repro.core.icontext import InterruptContext, TrapKind
 from repro.core.keymgmt import SignedExecutable
-from repro.core.layout import GHOST_START, USER_END
+from repro.core.layout import USER_END, ghost_slot_base
 from repro.core.vm import SVAVM
 from repro.errors import (KernelError, SecurityViolation, SyscallError,
                           TranslationFault)
@@ -24,8 +24,8 @@ from repro.hardware.platform import Machine
 from repro.kernel.blocking import WouldBlock, wait_channel
 from repro.kernel.context import KernelContext
 from repro.kernel.devfs import DevFS
-from repro.kernel.memory import (MAP_ANON, PROT_READ, PROT_WRITE,
-                                 VirtualMemoryManager, VMRegion)
+from repro.kernel.memory import (KSTACK_PAGES, MAP_ANON, PROT_READ,
+                                 PROT_WRITE, VirtualMemoryManager, VMRegion)
 from repro.kernel.modules import ModuleLoader
 from repro.kernel.net.stack import NetworkStack
 from repro.kernel.proc import (Process, Program, SyscallRequest, Thread,
@@ -376,7 +376,7 @@ class Kernel:
         self._next_pid += 1
         proc = Process(pid=pid, ppid=0, name=exe.name, aspace=aspace,
                        exe=exe, program=program)
-        proc.ghost_cursor = GHOST_START + pid * 0x1000_0000
+        proc.ghost_cursor = ghost_slot_base(pid)
         self._add_stack_region(proc)
         self.processes[pid] = proc
 
@@ -392,6 +392,7 @@ class Kernel:
             if thread is not None:
                 self.vm.retire_thread(thread.tid)
                 self.threads.pop(thread.tid, None)
+            self._retire(proc)
             raise
         thread.uregs.rip = entry
         thread.uregs.set("rsp", USER_STACK_TOP)
@@ -406,8 +407,8 @@ class Kernel:
         tid = self._next_tid
         self._next_tid += 1
         thread = Thread(tid=tid, proc=proc)
-        kstack_base = self.vmm.kalloc_stack(pages=4)
-        thread.kstack_top = kstack_base + 4 * PAGE_SIZE
+        kstack_base = self.vmm.kalloc_stack()
+        thread.kstack_top = kstack_base + KSTACK_PAGES * PAGE_SIZE
         proc.threads.append(thread)
         self.threads[tid] = thread
         self.vm.register_thread(tid, proc.pid)
@@ -437,7 +438,7 @@ class Kernel:
         child = Process(pid=pid, ppid=parent.pid, name=parent.name,
                         aspace=aspace, exe=parent.exe,
                         program=parent.program)
-        child.ghost_cursor = GHOST_START + pid * 0x1000_0000
+        child.ghost_cursor = ghost_slot_base(pid)
         child.signal_handlers = dict(parent.signal_handlers)
         child.handler_fns = dict(parent.handler_fns)
         child.injected_code = dict(parent.injected_code)
@@ -479,6 +480,7 @@ class Kernel:
             raise SyscallError("EACCES", str(exc)) from exc
 
         # tear down the old image
+        old_root = proc.aspace.root
         self.vmm.destroy_address_space(proc.aspace)
         proc.aspace = self.vmm.new_address_space()
         self._add_stack_region(proc)
@@ -491,6 +493,7 @@ class Kernel:
 
         self.vm.reinit_icontext(thread.tid, proc.pid, entry,
                                 USER_STACK_TOP)
+        self.vmm.retire(old_root, [])
         thread.uregs.rip = entry
         thread.uregs.set("rsp", USER_STACK_TOP)
         env = self.make_env(proc, thread, argv=args)
@@ -703,6 +706,7 @@ class Kernel:
             self.scheduler.discard(thread)
             thread.state = ThreadState.ZOMBIE
             self.vm.retire_thread(thread.tid)
+        self._retire(proc)
         # orphan children are re-parented to init (pid of first process)
         for child in proc.children.values():
             child.ppid = 0
@@ -713,6 +717,13 @@ class Kernel:
             proc.reaped = True
         if self.supervisor is not None:
             self.supervisor.on_exit(proc, status)
+
+    def _retire(self, proc: Process) -> None:
+        """Hand a dead process's page tables and kernel stacks to the
+        VMM, which frees them only when the free list runs dry."""
+        self.vmm.retire(proc.aspace.root,
+                        [thread.kstack_top - KSTACK_PAGES * PAGE_SIZE
+                         for thread in proc.threads])
 
     def release_zombie(self, proc: Process) -> None:
         self.processes.pop(proc.pid, None)

@@ -9,7 +9,7 @@ Address spaces hold mmap-style regions; pages materialize on first touch
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.layout import (KERNEL_HEAP_START, KERNEL_STACK_START,
                                USER_END, USER_START, page_of)
@@ -29,6 +29,10 @@ MAP_ANON = 1
 MAP_FILE = 2
 
 
+#: Pages per kernel stack (one unmapped guard page sits below each).
+KSTACK_PAGES = 4
+
+
 class FrameAllocator:
     """Free-list allocator over physical frames (frame 0 reserved).
 
@@ -36,16 +40,25 @@ class FrameAllocator:
     allocation report *transient* exhaustion -- an errno the caller must
     handle -- while genuine exhaustion of installed RAM stays a
     simulated kernel panic (:class:`~repro.errors.KernelError`).
+
+    When the free list runs dry, ``reclaim`` (if given) is called first
+    to return retired frames through :meth:`free`; only if it frees
+    nothing is the allocation a panic. An injected ENOMEM is decided
+    before the free list is looked at, so it never triggers a reclaim.
     """
 
     def __init__(self, num_frames: int,
-                 faults: FaultPlan | None = None):
+                 faults: FaultPlan | None = None,
+                 reclaim: Callable[[], None] | None = None):
         self._free = list(range(num_frames - 1, 0, -1))
         self.total = num_frames - 1
         self.faults = faults if faults is not None else NO_FAULTS
+        self.reclaim = reclaim
         self.allocs = 0
         self.frees = 0
         self.denied = 0
+        #: reclaim passes that refilled the free list
+        self.reclaims = 0
 
     def alloc(self) -> int:
         if self.faults.decide("kernel.frame_alloc") is not None:
@@ -53,7 +66,11 @@ class FrameAllocator:
             raise SyscallError("ENOMEM",
                                "transient frame exhaustion (injected)")
         if not self._free:
-            raise KernelError("out of physical memory")
+            if self.reclaim is not None:
+                self.reclaim()
+            if not self._free:
+                raise KernelError("out of physical memory")
+            self.reclaims += 1
         self.allocs += 1
         return self._free.pop()
 
@@ -130,7 +147,11 @@ class VirtualMemoryManager:
         self.ctx = kernel.ctx
         self.vm = kernel.vm
         self.frames = FrameAllocator(kernel.machine.phys.num_frames,
-                                     faults=kernel.machine.faults)
+                                     faults=kernel.machine.faults,
+                                     reclaim=self.reclaim_retired)
+        #: (page-table root, kernel-stack bases) of each reaped process
+        #: or discarded image, held until the free list runs dry
+        self.retired: list[tuple[int, list[int]]] = []
         self.kernel_heap_cursor = KERNEL_HEAP_START
         self.kernel_stack_cursor = KERNEL_STACK_START
         self.page_faults = 0
@@ -160,7 +181,7 @@ class VirtualMemoryManager:
         self.ctx.work(mem=4 * count, ops=6 * count)
         return vaddr
 
-    def kalloc_stack(self, pages: int = 4) -> int:
+    def kalloc_stack(self, pages: int = KSTACK_PAGES) -> int:
         """Allocate a kernel stack; returns its *base* (lowest) address."""
         # one unmapped guard page between stacks
         vaddr = self.kernel_stack_cursor + PAGE_SIZE
@@ -187,6 +208,37 @@ class VirtualMemoryManager:
             self.ctx.work(mem=3, ops=4)
         aspace.resident.clear()
         aspace.regions.clear()
+
+    # -- retired frames ------------------------------------------------------
+
+    def retire(self, root: int, kstacks: list[int]) -> None:
+        """Note a dead address space's root and its threads' kernel
+        stacks (``KSTACK_PAGES`` pages each); their frames come back in
+        :meth:`reclaim_retired`.
+
+        They are not freed here: the allocator's counters and free-list
+        length are part of every recorded machine-metrics snapshot, and
+        freeing at exit would move them.
+        """
+        self.retired.append((root, kstacks))
+
+    def reclaim_retired(self) -> None:
+        """Free every retired root's page tables (through
+        ``sva.mmu.release_root``) and its kernel stacks. A root still
+        loaded in ``cr3`` waits for a later pass."""
+        cr3 = self.kernel.machine.cpu.cr3
+        kernel_root = self.kernel.kernel_root
+        pending, self.retired = self.retired, []
+        for root, kstacks in pending:
+            if root == cr3:
+                self.retired.append((root, kstacks))
+                continue
+            self.vm.mmu_release_root(root)
+            for base in kstacks:
+                for page in range(base, base + KSTACK_PAGES * PAGE_SIZE,
+                                  PAGE_SIZE):
+                    self.frames.free(
+                        self.vm.mmu_unmap_page(kernel_root, page))
 
     # -- mmap/munmap -------------------------------------------------------------------
 
@@ -308,6 +360,7 @@ class VirtualMemoryManager:
             # transient ENOMEM mid-copy: unwind the half-built child so
             # a failed fork never leaks frames or mappings
             self.destroy_address_space(child)
+            self.retire(child.root, [])
             raise
         self.ctx.work(mem=120, ops=90, rets=6)
         return child

@@ -6,7 +6,11 @@ asking ssh-agent over the local socket -- then pulls a file from the
 remote server (the paper transfers files by running ``cat`` remotely).
 Transferred data is session-encrypted; the client pays the AES cost per
 block in both variants, so the ghosting-vs-plain difference isolates the
-cost of ghost memory + wrapper staging (Figure 4).
+cost of ghost memory + wrapper staging (Figure 4). The simulated cost
+is charged from the byte count (``clock.charge("aes_block", n)``); the
+host computes the session transform as one big-integer XOR of the data
+with a repeating pad, so neither the cipher stand-in nor how fast the
+host runs it moves a simulated cycle.
 
 Wire protocol (client <-> remote sshd):
     server -> client : 32-byte challenge
@@ -17,6 +21,7 @@ Wire protocol (client <-> remote sshd):
 
 from __future__ import annotations
 
+from repro.crypto.modes import xor_bytes
 from repro.crypto.sha256 import sha256
 from repro.kernel.net.stack import Connection
 from repro.kernel.proc import Program
@@ -37,7 +42,7 @@ _PAD = (sha256(b"ssh-session-pad") * 512)          # 16 KiB repeating pad
 
 def _session_encrypt(data: bytes) -> bytes:
     pad = (_PAD * (len(data) // len(_PAD) + 1))[:len(data)]
-    return bytes(a ^ b for a, b in zip(data, pad))
+    return xor_bytes(data, pad)
 
 
 _session_decrypt = _session_encrypt        # XOR is symmetric
