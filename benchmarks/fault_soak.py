@@ -40,7 +40,7 @@ except ImportError:              # run as a bare script
 DEFINED_FAILURES = (SyscallError, SecurityViolation)
 
 
-class _Script(Program):
+class Script(Program):
     """A program whose body is supplied as a generator function."""
 
     program_id = "fault-soak-script"
@@ -70,7 +70,7 @@ def _phase_files(system: System, report: dict) -> None:
     """Create/write/fsync/read-back/unlink loop over the buffer cache."""
     outcomes = []
     violations = report["invariant_violations"]
-    program = _Script(_files_body(outcomes, violations))
+    program = Script(_files_body(outcomes, violations))
     system.install("/bin/filesoak", program)
     proc = system.spawn("/bin/filesoak")
     system.run(max_slices=500_000)
@@ -147,7 +147,7 @@ def _phase_fork(system: System, report: dict) -> None:
         yield from env.sys_close(fd)
         return 0
 
-    program = _Script(body, child_body)
+    program = Script(body, child_body)
     system.install("/bin/forksoak", program)
     system.spawn("/bin/forksoak")
     system.run(max_slices=500_000)
@@ -205,7 +205,7 @@ def _phase_ghost_swap(system: System, report: dict) -> None:
             yield from env.sys_sched_yield()
         return 0
 
-    program = _Script(body)
+    program = Script(body)
     proc = None
     for attempt in range(4):       # injected ENOMEM is transient: retry
         try:
@@ -281,7 +281,7 @@ def _phase_churn(system: System, report: dict) -> None:
             yield from env.sys_sched_yield()
             return 0
 
-        program = _Script(body)
+        program = Script(body)
         path = f"/bin/churn{i}"
         system.install(path, program)
         try:

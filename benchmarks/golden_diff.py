@@ -1,20 +1,21 @@
 """Diff a runner's simulated results against the committed golden copies.
 
 ``benchmarks/golden/`` holds the ``results`` section of each
-``BENCH_*.json`` that the Tables 2-5 grid writes at the runner's default
-sizes. Those sections are deterministic, so any change that moves a
-simulated number shows up here as a reviewable diff. ``meta`` (wall
-time, worker count) is ignored.
+``BENCH_*.json`` that the runner writes at its default sizes: Tables
+2-5, Figures 2-4 and the ablation (the TCB count changes with every
+source edit and has no golden). Those sections are deterministic, so
+any change that moves a simulated number shows up here as a reviewable
+diff. ``meta`` (wall time, worker count) is ignored.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/runner.py \\
-        --tables table2,table3,table4,table5 --workers 2 --out-dir results/
+    PYTHONPATH=src python benchmarks/runner.py --workers 2 --out-dir results/
     python benchmarks/golden_diff.py results/
 
-Exits 1 and prints a unified diff when any table differs. After a
-deliberate change to the simulation, ``--update`` rewrites the golden
-files from the run so the new numbers are reviewed in the commit.
+Exits 1 and prints a unified diff when any table differs, or names the
+golden tables the run directory lacks (a partial ``--tables`` run).
+After a deliberate change to the simulation, ``--update`` rewrites the
+golden files from the run so the new numbers are reviewed in the commit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 def _render(results) -> str:
     return json.dumps(results, indent=2, sort_keys=True) + "\n"
+
+
+def missing_tables(run_dir: str, golden_dir: str = GOLDEN_DIR) -> list[str]:
+    """Golden table files that ``run_dir`` does not contain."""
+    names = [os.path.basename(path) for path in
+             sorted(glob.glob(os.path.join(golden_dir, "BENCH_*.json")))]
+    return [name for name in names
+            if not os.path.exists(os.path.join(run_dir, name))]
 
 
 def diff_results(run_dir: str, golden_dir: str = GOLDEN_DIR, *,
@@ -70,6 +79,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--update", action="store_true",
                         help="rewrite the golden files from the run")
     args = parser.parse_args(argv)
+    missing = missing_tables(args.run_dir)
+    if missing:
+        print(f"golden tables missing from {args.run_dir}: "
+              + ", ".join(missing))
+        return 1
     lines = diff_results(args.run_dir, update=args.update)
     sys.stdout.writelines(lines)
     if lines and not args.update:

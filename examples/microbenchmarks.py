@@ -2,9 +2,9 @@
 """Mini Table 2: run a fast subset of the LMBench suite and print the
 native / Virtual Ghost / InkTag comparison.
 
-This is the quick-look version of ``benchmarks/bench_table2_lmbench.py``
-(a few seconds per bench); the full harness sweeps all nine benchmarks
-with shape assertions.
+This is the quick-look version of Table 2 (a few seconds per bench);
+``benchmarks/runner.py --tables table2`` sweeps all nine benchmarks and
+checks the paper's shape bounds on them.
 
 Run:  python examples/microbenchmarks.py
 """

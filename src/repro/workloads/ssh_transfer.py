@@ -77,7 +77,6 @@ def run_ssh_client_bandwidth(config, *, size: int, ghosting: bool,
     if system.run_until_exit(proc) != 0:
         raise RuntimeError("ssh-keygen failed")
     # plaintext copy for the non-ghosting variant (which has no app key)
-    private_blob = system.kernel.machine.console  # placeholder, see below
     plain = serialize_private(
         deserialize_private(_decrypt_keyfile(system, "/id_rsa")))
     system.write_file("/id_rsa.plain", plain)
