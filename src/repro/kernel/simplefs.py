@@ -8,7 +8,8 @@ Structure (4 KiB blocks over the 512-byte-sector disk):
 * remaining blocks     -- file data and directories
 
 Inodes hold 12 direct block pointers plus one single-indirect block
-(max file size ~4 MiB). Directories store fixed 64-byte entries
+(max file size ``MAX_FILE_SIZE``, just over 4 MiB; a write is cut short
+there). Directories store fixed 64-byte entries
 (64 per block) and name operations scan them in slot order.
 A write-back buffer cache sits between the FS and the disk; cache misses
 and evictions charge real disk costs, metadata manipulation charges
@@ -19,15 +20,16 @@ Directory costs: every dirent a scan examines is charged as a dirent
 read plus the buffer-cache lookup of its block (two lookups past the
 direct pointers, where ``block_for`` also reads the indirect table).
 A scan fetches each directory block once, with the real lookups of its
-first slot, and settles the rest of the block's examined slots in one
+first slot, finds the slot it stops at by searching the block's bytes
+(no slot is decoded), and settles the block's examined slots in one
 charge (see :meth:`SimpleFSVnode._scan`); simulated time is the same as
-looking every slot up.
+looking every slot up and decoding it.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import DeviceFault, KernelError, SyscallError
 from repro.hardware.disk import Disk, SECTOR_SIZE
@@ -44,6 +46,8 @@ MAGIC = 0x5F56_4753                  # "_VGS"
 INODE_SIZE = 64
 INODES_PER_BLOCK = BLOCK_SIZE // INODE_SIZE
 NUM_DIRECT = 12
+#: 12 direct blocks plus one single-indirect table of 1,024 pointers
+MAX_FILE_SIZE = (NUM_DIRECT + BLOCK_SIZE // 4) * BLOCK_SIZE
 
 DIRENT_SIZE = 64
 DIRENTS_PER_BLOCK = BLOCK_SIZE // DIRENT_SIZE
@@ -51,12 +55,19 @@ MAX_NAME = 54                        # bytes of UTF-8
 
 #: child field of a deleted entry (its slot is reused by the next create)
 _TOMBSTONE = 0xFFFF_FFFF
+#: ... and its bytes, as the first four of the slot
+_TOMBSTONE_HEAD = _TOMBSTONE.to_bytes(4, "little")
 #: dirent header: child inode number, name length in bytes
 _DIRENT_HEAD = struct.Struct("<IB")
+#: offset of the name length byte (the name follows it) in a slot
+_NAME_LENGTH_AT = 4
 #: kernel work of reading one dirent out of a cached block
 _DIRENT_MEM, _DIRENT_OPS = 14, 8
 #: what a directory block that was never allocated reads as
 _HOLE = bytes(BLOCK_SIZE)
+#: ``find(block, lo, hi)``: index of the first slot in ``lo..hi-1`` of a
+#: fetched directory block that the scan stops at, or None
+_Finder = Callable[[bytes | bytearray, int, int], int | None]
 
 _TYPE_FREE = 0
 _TYPE_REGULAR = 1
@@ -489,8 +500,12 @@ class SimpleFSVnode(Vnode):
 
     def write(self, offset: int, data: bytes) -> int:
         inode = self.fs.read_inode(self.inode_number)
+        if offset >= MAX_FILE_SIZE:
+            raise SyscallError("EFBIG", "file too large")
         cursor = offset
-        view = memoryview(data)
+        # a write that would cross the limit is cut short at it, so no
+        # block is allocated past a size the inode cannot record
+        view = memoryview(data)[:MAX_FILE_SIZE - offset]
         while view.nbytes > 0:
             file_block, block_offset = divmod(cursor, BLOCK_SIZE)
             chunk = min(view.nbytes, BLOCK_SIZE - block_offset)
@@ -506,7 +521,7 @@ class SimpleFSVnode(Vnode):
         if cursor > inode.size:
             inode.size = cursor
             self.fs._write_inode(inode)
-        return len(data)
+        return cursor - offset
 
     def truncate(self, length: int) -> None:
         inode = self.fs.read_inode(self.inode_number)
@@ -560,7 +575,7 @@ class SimpleFSVnode(Vnode):
         slot, child_number = entry
         child = self.fs.read_inode(child_number)
         if (child.itype == _TYPE_DIRECTORY
-                and self._scan(child, _is_live) is not None):
+                and self._scan(child, _find_live) is not None):
             raise SyscallError("ENOTEMPTY", name)
         child.nlink -= 1
         if child.nlink <= 0:
@@ -579,7 +594,7 @@ class SimpleFSVnode(Vnode):
                 names.append(name)
             return False
 
-        self._scan(inode, collect)
+        self._scan(inode, self._decoder(collect))
         return names
 
     # -- directory internals --------------------------------------------------------
@@ -590,55 +605,48 @@ class SimpleFSVnode(Vnode):
             raise SyscallError("ENOTDIR", f"inode {self.inode_number}")
         return inode
 
-    def _scan(self, inode: _Inode, stop: Callable[[int, str], bool]
-              ) -> tuple[int, int] | None:
-        """``(slot, child)`` of the first entry ``stop(child, name)``
-        accepts, scanning in slot order; None when none does.
+    def _scan(self, inode: _Inode, find: _Finder) -> tuple[int, int] | None:
+        """``(slot, child)`` of the first entry ``find`` accepts, scanning
+        in slot order; None when none does.
 
         Each block is fetched once, by the real ``block_for`` +
         ``cache.get`` of its first slot, so every fault decision, miss,
         disk read and trace event happens as it would slot by slot. Every
         later slot's lookup would then be a side-effect-free cache hit,
-        so the block's examined slots are charged in one ``work`` (and one
-        ``hits`` bump) before the next block is touched: the clock sums
+        so the block's examined slots -- up to the one ``find`` returns,
+        or all of them -- are charged in one ``work`` (and one ``hits``
+        bump) before the next block is touched: the clock sums
         ``units * cost``, so the totals and every later cycle stamp are
         those of the per-slot charges. Blocks where that does not hold go
         through :meth:`_replay_block`.
         """
         cache = self.fs.cache
-        read_dirent = self.read_dirent
         num_slots = inode.size // DIRENT_SIZE
         for first in range(0, num_slots, DIRENTS_PER_BLOCK):
             file_block = first // DIRENTS_PER_BLOCK
-            slots = range(first, min(first + DIRENTS_PER_BLOCK, num_slots))
+            count = min(DIRENTS_PER_BLOCK, num_slots - first)
             block = self._dirent_block(inode, file_block)
             lookups = 1 if file_block < NUM_DIRECT else 2
             if block is None or (lookups == 2
                                  and not cache.holds(inode.indirect)):
-                found = self._replay_block(inode, file_block, block, slots,
-                                           stop)
+                found = self._replay_block(inode, file_block, block, count,
+                                           find)
                 if found is not None:
                     return found
                 continue
-            found = None
-            for slot in slots:
-                child, name = read_dirent(block, slot)
-                if stop(child, name):
-                    found = slot, child
-                    break
-            examined = slot - first + 1
+            index = find(block, 0, count)
+            examined = count if index is None else index + 1
             hits = (examined - 1) * lookups
             cache.hits += hits
             self.fs.ctx.work(
                 mem=examined * _DIRENT_MEM + hits * BufferCache.HIT_MEM,
                 ops=examined * _DIRENT_OPS + hits * BufferCache.HIT_OPS)
-            if found is not None:
-                return found
+            if index is not None:
+                return first + index, _child_of(block, index)
         return None
 
     def _replay_block(self, inode: _Inode, file_block: int,
-                      block: bytearray | None, slots: range,
-                      stop: Callable[[int, str], bool]
+                      block: bytearray | None, count: int, find: _Finder
                       ) -> tuple[int, int] | None:
         """:meth:`_scan` of one block with a real lookup per slot.
 
@@ -647,16 +655,17 @@ class SimpleFSVnode(Vnode):
         cache): there every later slot misses again, and its misses must
         happen in slot order.
         """
-        for slot in slots:
-            if slot != slots.start:
+        for index in range(count):
+            if index:
                 block = self._dirent_block(inode, file_block)
             if block is None:
-                child, name = self.read_dirent(_HOLE, slot)
+                data = _HOLE
             else:
                 self.fs.ctx.work(mem=_DIRENT_MEM, ops=_DIRENT_OPS)
-                child, name = self.read_dirent(block, slot)
-            if stop(child, name):
-                return slot, child
+                data = block
+            if find(data, index, index + 1) is not None:
+                return (file_block * DIRENTS_PER_BLOCK + index,
+                        _child_of(data, index))
         return None
 
     def _dirent_block(self, inode: _Inode,
@@ -668,7 +677,9 @@ class SimpleFSVnode(Vnode):
                     slot: int) -> tuple[int, str]:
         """Decode entry ``slot`` of its already-fetched directory block
         into ``(child, name)``. No cache access and no charge: the scan
-        settles those, and calls this once per examined slot."""
+        settles those. Only ``entries()`` and the lookup of a name that a
+        byte search cannot match exactly (see :meth:`_name_finder`)
+        decode slots; every other scan searches the block's bytes."""
         offset = (slot % DIRENTS_PER_BLOCK) * DIRENT_SIZE
         child, name_length = _DIRENT_HEAD.unpack_from(block, offset)
         start = offset + _DIRENT_HEAD.size
@@ -686,15 +697,56 @@ class SimpleFSVnode(Vnode):
 
     def _find_entry(self, inode: _Inode,
                     name: str) -> tuple[int, int] | None:
-        return self._scan(inode, lambda child, entry: (
-            entry == name and child != _TOMBSTONE))
+        return self._scan(inode, self._name_finder(name))
+
+    def _name_finder(self, name: str) -> _Finder:
+        """Finder of the live entry named ``name``.
+
+        An entry matches when its name bytes, cut at the slot end (59
+        bytes) and decoded with replacement, equal ``name``. For a name
+        that encodes to at most ``MAX_NAME`` bytes and holds no U+FFFD
+        that is exactly: length byte ``len(encoded)`` followed by the
+        encoded bytes (any other bytes decode to another string), so a
+        byte search finds it. A lone surrogate matches nothing, since
+        decoding never yields one. Any other name decodes slot by slot.
+        """
+        try:
+            encoded = name.encode()
+        except UnicodeEncodeError:
+            return _find_none
+        if len(encoded) > MAX_NAME or "\ufffd" in name:
+            return self._decoder(lambda child, entry: (
+                entry == name and child != _TOMBSTONE))
+        pattern = bytes([len(encoded)]) + encoded
+
+        def search(block: bytes | bytearray, lo: int,
+                   hi: int) -> int | None:
+            for index in _aligned_hits(block, pattern, _NAME_LENGTH_AT,
+                                       lo, hi):
+                if _child_of(block, index) != _TOMBSTONE:
+                    return index
+            return None
+        return search
+
+    def _decoder(self, stop: Callable[[int, str], bool]) -> _Finder:
+        """Finder of the first slot where ``stop(child, name)`` holds,
+        decoding each slot with :meth:`read_dirent`."""
+        read_dirent = self.read_dirent
+
+        def decode(block: bytes | bytearray, lo: int,
+                   hi: int) -> int | None:
+            for index in range(lo, hi):
+                if stop(*read_dirent(block, index)):
+                    return index
+            return None
+        return decode
 
     def _insert_entry(self, inode: _Inode, encoded: bytes,
                       child_number: int) -> None:
         raw = (_DIRENT_HEAD.pack(child_number, len(encoded)) + encoded
                ).ljust(DIRENT_SIZE, b"\x00")
         # reuse the lowest tombstone slot if there is one
-        tombstone = self._scan(inode, _is_tombstone)
+        tombstone = self._scan(inode, _find_tombstone)
         if tombstone is not None:
             self._write_dirent(inode, tombstone[0], raw)
             return
@@ -708,9 +760,35 @@ class SimpleFSVnode(Vnode):
         self._write_dirent(inode, slot, raw)
 
 
-def _is_live(child: int, name: str) -> bool:
-    return child != _TOMBSTONE
+def _child_of(block: bytes | bytearray, index: int) -> int:
+    return int.from_bytes(block[index * DIRENT_SIZE:
+                                index * DIRENT_SIZE + 4], "little")
 
 
-def _is_tombstone(child: int, name: str) -> bool:
-    return child == _TOMBSTONE
+def _find_none(block: bytes | bytearray, lo: int, hi: int) -> None:
+    return None
+
+
+def _aligned_hits(block: bytes | bytearray, pattern: bytes, at: int,
+                  lo: int, hi: int) -> Iterator[int]:
+    """Slots in ``lo..hi-1`` whose bytes from offset ``at`` start with
+    ``pattern``, in slot order."""
+    end = hi * DIRENT_SIZE
+    pos = block.find(pattern, lo * DIRENT_SIZE + at, end)
+    while pos >= 0:
+        index, offset = divmod(pos, DIRENT_SIZE)
+        if offset == at:
+            yield index
+        pos = block.find(pattern, pos + 1, end)
+
+
+def _find_tombstone(block: bytes | bytearray, lo: int,
+                    hi: int) -> int | None:
+    return next(_aligned_hits(block, _TOMBSTONE_HEAD, 0, lo, hi), None)
+
+
+def _find_live(block: bytes | bytearray, lo: int, hi: int) -> int | None:
+    for index in range(lo, hi):
+        if _child_of(block, index) != _TOMBSTONE:
+            return index
+    return None

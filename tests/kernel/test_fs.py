@@ -10,8 +10,8 @@ from repro.hardware.platform import Machine, MachineConfig
 from repro.kernel.context import KernelContext
 from repro.kernel.pipe import PIPE_CAPACITY, make_pipe
 from repro.kernel.simplefs import (BLOCK_SIZE, DIRENTS_PER_BLOCK,
-                                   MAX_NAME, BufferCache, SimpleFS,
-                                   SimpleFSVnode, NUM_DIRECT)
+                                   MAX_FILE_SIZE, MAX_NAME, BufferCache,
+                                   SimpleFS, NUM_DIRECT)
 from repro.kernel.vfs import VnodeType
 from repro.system import System
 
@@ -114,6 +114,30 @@ def test_truncate_frees_blocks(fs):
     assert file.read(0, 10) == b""
 
 
+def _blocks_in_use(filesystem):
+    bitmap = range(1 + filesystem.inode_blocks,
+                   1 + filesystem.inode_blocks + filesystem.bitmap_blocks)
+    return sum(bin(byte).count("1") for number in bitmap
+               for byte in filesystem.cache.get(number))
+
+
+def test_write_past_size_limit_is_cut_short_and_leaks_nothing(fs):
+    filesystem, root = fs
+    file = root.create("big", VnodeType.REGULAR)
+    baseline = _blocks_in_use(filesystem)      # with root's dirent block
+    start = MAX_FILE_SIZE - 3 * BLOCK_SIZE
+    assert file.write(start, b"x" * (5 * BLOCK_SIZE)) == 3 * BLOCK_SIZE
+    assert file.size == MAX_FILE_SIZE
+    assert file.read(MAX_FILE_SIZE - 4, 100) == b"xxxx"
+    in_use = _blocks_in_use(filesystem)
+    for offset in (MAX_FILE_SIZE, MAX_FILE_SIZE + BLOCK_SIZE):
+        with pytest.raises(SyscallError, match="EFBIG"):
+            file.write(offset, b"y")
+    assert _blocks_in_use(filesystem) == in_use
+    root.unlink("big")
+    assert _blocks_in_use(filesystem) == baseline
+
+
 def test_unlink_frees_inode_for_reuse(fs):
     filesystem, root = fs
     for round_number in range(5):
@@ -197,25 +221,25 @@ def test_lookup_first_and_last_slot_of_each_block(big_dir, slot):
     assert _slot_of(root, f"n{slot}") == slot
 
 
-def test_lookup_miss_examines_every_slot_once(big_dir, monkeypatch):
+def test_lookup_miss_examines_every_slot_once(big_dir):
     filesystem, root, _ = big_dir
-    examined = []
-    decode = SimpleFSVnode.read_dirent
-
-    def counting(self, block, slot):
-        examined.append(slot)
-        return decode(self, block, slot)
-
-    monkeypatch.setattr(SimpleFSVnode, "read_dirent", counting)
+    clock = filesystem.ctx.clock
     hits = filesystem.cache.hits
+    before = clock.snapshot()
     with pytest.raises(SyscallError, match="ENOENT"):
         root.lookup("absent")
-    assert examined == list(range(_BIG_DIR))
     # every block is resident: one hit for the directory's inode, one per
     # direct slot, two (indirect table + data) per slot past them
     direct = NUM_DIRECT * DIRENTS_PER_BLOCK
-    assert filesystem.cache.hits - hits == (
-        1 + direct + 2 * (_BIG_DIR - direct))
+    lookups = 1 + direct + 2 * (_BIG_DIR - direct)
+    assert filesystem.cache.hits - hits == lookups
+    # each slot is charged one dirent read (14 loads, 8 instructions)
+    # and each lookup one cache hit, on top of the inode read (8, 10)
+    after = clock.snapshot()
+    assert after["mem_access"] - before["mem_access"] == (
+        8 + 14 * _BIG_DIR + BufferCache.HIT_MEM * lookups)
+    assert after["instr"] - before["instr"] == (
+        10 + 8 * _BIG_DIR + BufferCache.HIT_OPS * lookups)
 
 
 def test_create_reuses_lowest_tombstone_slot():
